@@ -116,14 +116,7 @@ def chaining_for_route(
     direct: Set[int] = set()
     for lid in route_links:
         direct.update(manager.channels_on_link.get(lid, ()))
-    indirect: Set[int] = set()
-    for cid in direct:
-        conn = manager.connections.get(cid)
-        if conn is None:
-            continue
-        for lid in conn.primary_links:
-            indirect.update(manager.channels_on_link.get(lid, ()))
-    indirect -= direct
+    indirect = manager.indirectly_chained_levels(direct, None)
     return len(direct) / len(live), len(indirect) / len(live)
 
 

@@ -25,7 +25,7 @@ default simulation core (see ``repro.channels.make_manager``).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -366,8 +366,9 @@ class _LinkSetsView:
     """``channels_on_link``-shaped read view: LinkId -> set of conn ids.
 
     Internally the manager indexes by dense link index and stores
-    *handles*; this view translates both on access (estimator/test
-    compatibility — only touched on sampled events).
+    *handles*; this view translates both on access.  It keeps the object
+    core's mapping surface for diagnostics, the chaining analysis and
+    the tests; no per-event path reads it.
     """
 
     __slots__ = ("_m", "_sets")
@@ -377,8 +378,8 @@ class _LinkSetsView:
         self._sets = sets
 
     def _cids(self, li: int) -> Set[int]:
-        conn_id = self._m.conns.conn_id
-        return {int(conn_id[h]) for h in self._sets[li]}
+        cid_py = self._m.conns.cid_py
+        return {cid_py[h] for h in self._sets[li]}
 
     def get(self, lid: LinkId, default: FrozenSet[int] = frozenset()) -> Set[int] | FrozenSet[int]:
         li = self._m.links.index.get(lid)
@@ -512,6 +513,37 @@ class ArrayNetworkManager:
     def level_histogram(self, num_levels: int) -> List[int]:
         """Count of ACTIVE elastic primaries at each level (bincount)."""
         return self.conns.level_histogram(num_levels)
+
+    def indirectly_chained_levels(
+        self, direct_ids: Iterable[int], event_conn_id: Optional[int]
+    ) -> Dict[int, int]:
+        """Conn id -> current level of the channels indirectly chained.
+
+        Same contract as the object core's query, computed in handle
+        space: the union of the direct handles' primary links, then the
+        union of the ACTIVE primaries on those links, minus the direct
+        handles and the event's own; one ``level`` gather at the end.
+        """
+        h_of = self._h_of
+        path_py = self.conns.path_py
+        direct_hs: Set[int] = set()
+        links: Set[int] = set()
+        for cid in direct_ids:
+            h = h_of.get(cid)
+            if h is not None:  # dropped by a failure during this event
+                direct_hs.add(h)
+                links.update(path_py[h])
+        sets = self._prims_on
+        hs: Set[int] = set()
+        for li in links:
+            hs |= sets[li]
+        hs -= direct_hs
+        if event_conn_id is not None:
+            hs.discard(h_of.get(event_conn_id, -1))
+        hs_list = list(hs)
+        cid_py = self.conns.cid_py
+        levels = self.conns.level[hs_list].tolist()
+        return {cid_py[h]: lvl for h, lvl in zip(hs_list, levels)}
 
     # ------------------------------------------------------------------
     # establishment

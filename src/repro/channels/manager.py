@@ -24,7 +24,7 @@ The operational rules implemented here are exactly those of §3.1:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.channels.records import (
     ConnectionState,
@@ -169,6 +169,35 @@ class NetworkManager:
             if conn.state is ConnectionState.ACTIVE and not conn.on_backup:
                 hist[min(conn.level, num_levels - 1)] += 1
         return hist
+
+    def indirectly_chained_levels(
+        self, direct_ids: Iterable[int], event_conn_id: Optional[int]
+    ) -> Dict[int, int]:
+        """Conn id -> current level of the channels indirectly chained.
+
+        Two hops in the overlap relation: the live ACTIVE primaries that
+        share a primary link with a live connection of ``direct_ids``,
+        leaving out ``direct_ids`` themselves and ``event_conn_id`` (the
+        event's own connection, if any).  Direct ids that are no longer
+        live (dropped by a failure during the event) contribute no links.
+        A failed-over direct connection contributes its original primary
+        links.  On a sampled arrival the result's length is the
+        estimator's Ps numerator, and each level is the B observation of
+        a channel the event did not move.
+        """
+        direct = set(direct_ids)
+        indirect: Set[int] = set()
+        on_link = self.channels_on_link
+        for cid in direct:
+            conn = self.connections.get(cid)
+            if conn is None:
+                continue  # dropped by a failure during this event
+            for lid in conn.primary_links:
+                indirect.update(on_link.get(lid, ()))
+        indirect -= direct
+        if event_conn_id is not None:
+            indirect.discard(event_conn_id)
+        return {cid: self.connections[cid].level for cid in indirect}
 
     # ------------------------------------------------------------------
     # micro-epoch batching (parity API; sequential core never defers)

@@ -506,6 +506,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "call-heavy code; compare wall-clock via pytest-benchmark\n"
             )
             out = Path(args.out) / f"bench_{name}_{args.core}.prof.txt"
+            out.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_text(out, header + buf.getvalue())
             print(header.rstrip())
             print(f"profile written to {out}")

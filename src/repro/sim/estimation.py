@@ -15,16 +15,22 @@ network manager into :class:`~repro.markov.parameters.MarkovParameters`:
 * ``F`` — level transitions of channels affected by failures
   (extension; the paper reuses ``A`` for failures);
 * ``B`` and ``Ps`` — indirect-chaining requires walking two hops of the
-  channel-overlap relation, which is too expensive per event, so it is
-  computed exactly on every ``sample_interval``-th arrival (both the
-  moved and unmoved indirect channels, keeping the estimate unbiased);
+  channel-overlap relation (the manager's ``indirectly_chained_levels``
+  query), which is too expensive per event, so it is computed exactly on
+  every ``sample_interval``-th arrival (both the moved and unmoved
+  indirect channels, keeping the estimate unbiased);
 * ``Pf`` — fraction of pre-existing channels directly chained with the
   event channel, averaged over all arrival/termination events.
+
+Counts are whole numbers, so each event's transitions are tallied with
+a :class:`~collections.Counter` and every distinct (before, after) pair
+is added to its matrix cell once; the sums are exact in any order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from collections import Counter
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -85,71 +91,44 @@ class TransitionEstimator:
         if impact.kind is EventKind.ARRIVAL:
             self._observe_arrival(impact, manager, pre_event_live)
         elif impact.kind is EventKind.TERMINATION:
-            self._observe_counts(self.t_counts, impact)
+            self._count(self.t_counts, impact.direct.values())
             self._observe_pf(impact, pre_event_live)
         elif impact.kind is EventKind.FAILURE:
             self._failures_seen += 1
-            self._observe_counts(self.f_counts, impact)
+            self._count(self.f_counts, impact.direct.values())
         # REPAIR events do not move channels (no fail-back).
 
     def _observe_arrival(
         self, impact: EventImpact, manager: NetworkManager, pre_event_live: int
     ) -> None:
         self._arrivals_seen += 1
-        self._observe_counts(self.a_counts, impact)
+        self._count(self.a_counts, impact.direct.values())
         self._observe_pf(impact, pre_event_live)
         if not impact.accepted:
             return
         if self._arrivals_seen % self.sample_interval:
             return
-        indirect = self._indirect_set(impact, manager)
+        levels = manager.indirectly_chained_levels(impact.direct, impact.conn_id)
         if pre_event_live > 0:
-            self._ps_weighted_sum += len(indirect) / pre_event_live
+            self._ps_weighted_sum += len(levels) / pre_event_live
             self._ps_events += 1
-        top = self.num_levels - 1
-        for cid in indirect:
-            if cid in impact.indirect_changed:
-                before, after = impact.indirect_changed[cid]
-            else:
-                conn = manager.connections.get(cid)
-                if conn is None:
-                    continue
-                before = after = conn.level
-            self.b_counts[min(before, top), min(after, top)] += 1
+        changed = impact.indirect_changed
+        self._count(
+            self.b_counts, (changed.get(cid, (lvl, lvl)) for cid, lvl in levels.items())
+        )
 
-    def _observe_counts(self, counts: np.ndarray, impact: EventImpact) -> None:
+    def _count(self, counts: np.ndarray, transitions: Iterable[Tuple[int, int]]) -> None:
+        """Add level transitions to ``counts``, once per distinct pair."""
         top = self.num_levels - 1
-        for before, after in impact.direct.values():
+        for (before, after), k in Counter(transitions).items():
             # Heterogeneous workloads may contain contracts with more
             # levels than the template chain; clip into the top state.
-            counts[min(before, top), min(after, top)] += 1
+            counts[min(before, top), min(after, top)] += k
 
     def _observe_pf(self, impact: EventImpact, pre_event_live: int) -> None:
         if pre_event_live > 0:
             self._pf_weighted_sum += len(impact.direct) / pre_event_live
             self._pf_events += 1
-
-    def _indirect_set(self, impact: EventImpact, manager: NetworkManager) -> Set[int]:
-        """Channels indirectly chained with the event channel.
-
-        Two hops in the overlap relation: channels sharing a link with a
-        directly-chained channel, minus the direct set and the event's
-        own connection.  Uses the maintained per-link index, so the cost
-        is a few thousand C-speed set updates.
-        """
-        direct_ids = set(impact.direct)
-        indirect: Set[int] = set()
-        on_link = manager.channels_on_link
-        for cid in direct_ids:
-            conn = manager.connections.get(cid)
-            if conn is None:
-                continue  # dropped by a failure during this event
-            for lid in conn.primary_links:
-                indirect.update(on_link.get(lid, ()))
-        indirect -= direct_ids
-        if impact.conn_id is not None:
-            indirect.discard(impact.conn_id)
-        return indirect
 
     # ------------------------------------------------------------------
     # estimation

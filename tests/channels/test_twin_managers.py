@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.channels import ArrayNetworkManager, NetworkManager, make_manager
-from repro.elastic.policies import EqualShare, MaxUtility, UtilityProportional
+from repro.elastic.policies import MaxUtility, UtilityProportional
 from repro.faults.injectors import FaultConfig, build_injector
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
 from repro.sim.workload import Workload, WorkloadConfig
@@ -163,17 +163,20 @@ class TwinDriver:
         self.mo.repair_link(lid)
         self.ma.repair_link(lid)
 
+    def step(self, faults: bool) -> None:
+        r = self.rng.random()
+        if r < 0.5 or not self.live:
+            self.arrive()
+        elif r < 0.8 or not faults:
+            self.terminate()
+        elif r < 0.9:
+            self.fail()
+        else:
+            self.repair()
+
     def run(self, events: int, faults: bool, check_every: int = 29) -> None:
         for step in range(events):
-            r = self.rng.random()
-            if r < 0.5 or not self.live:
-                self.arrive()
-            elif r < 0.8 or not faults:
-                self.terminate()
-            elif r < 0.9:
-                self.fail()
-            else:
-                self.repair()
+            self.step(faults)
             if step % check_every == 0:
                 self.mo.check_invariants()
                 self.ma.check_invariants()
@@ -220,6 +223,33 @@ class TestTwinCampaigns:
 
     def test_cache_disabled(self):
         TwinDriver(16, route_cache_probe=0).run(150, faults=True)
+
+
+def _link_index(view, net) -> tuple:
+    """A per-link index view as plain dicts of sets, read both ways."""
+    by_get = {lid: set(view.get(lid, ())) for lid in net.link_ids()}
+    by_items = {lid: set(ids) for lid, ids in view.items() if ids}
+    return by_get, by_items
+
+
+class TestTwinLinkIndexViews:
+    """The array core's per-link index views equal the object core's dicts."""
+
+    VIEWS = ("channels_on_link", "backups_on_link", "active_backups_on_link")
+
+    @pytest.mark.parametrize("seed", (4, 5))
+    def test_views_match_along_a_faulted_trajectory(self, seed):
+        driver = TwinDriver(seed)
+        steps_with_active_backups = 0
+        for step in range(300):
+            driver.step(faults=True)
+            for name in self.VIEWS:
+                want = _link_index(getattr(driver.mo, name), driver.net)
+                got = _link_index(getattr(driver.ma, name), driver.net)
+                assert got == want, f"step {step}: {name} diverged"
+            steps_with_active_backups += any(driver.ma.active_backups_on_link.items())
+        assert driver.mo.stats.link_failures > 0
+        assert steps_with_active_backups > 0
 
 
 class TestTwinUnderInjectors:
@@ -353,15 +383,7 @@ class EpochTwinDriver(TwinDriver):
 
     def run(self, events: int, faults: bool, check_every: int = 29) -> None:
         for step in range(events):
-            r = self.rng.random()
-            if r < 0.5 or not self.live:
-                self.arrive()
-            elif r < 0.8 or not faults:
-                self.terminate()
-            elif r < 0.9:
-                self.fail()
-            else:
-                self.repair()
+            self.step(faults)
             if step % check_every == 0:
                 # Books must balance even mid-epoch (columns == rows)...
                 self.ma.check_invariants()

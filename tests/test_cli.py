@@ -126,3 +126,16 @@ class TestBenchCommand:
         assert "cumulative" in text
         assert "repro bench --profile: failrep / array core" in text
         assert str(dump) in out
+
+    def test_bench_profile_creates_missing_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "missing" / "nested"
+        code = main(
+            ["bench", "--benchmark", "request", "--events", "10",
+             "--population", "20", "--profile", "--top", "3",
+             "--out", str(out_dir)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        dump = out_dir / "bench_request_array.prof.txt"
+        assert "repro bench --profile: request / array core" in dump.read_text()
+        assert str(dump) in out
