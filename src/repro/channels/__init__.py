@@ -3,7 +3,8 @@
 Two interchangeable manager cores exist:
 
 * :class:`NetworkManager` — the original per-object core (``LinkState``
-  dataclasses, ``DRConnection`` records).  The reference oracle.
+  dataclasses, ``DRConnection`` records), with no route cache and no
+  fill fast path.  The reference oracle.
 * :class:`ArrayNetworkManager` — the struct-of-arrays core (NumPy
   columns, integer handles).  Bitwise-equivalent and faster; the
   simulation default.
@@ -43,7 +44,7 @@ def make_manager(topology: Network, core: str = "array", **kwargs: Any) -> AnyMa
             ``"object"`` for the per-object reference core.
         **kwargs: Forwarded to the manager constructor (``policy``,
             ``routing``, ``flood_hop_bound``, ``multiplex_backups``,
-            ``reestablish_backups``, ``route_cache_probe``).
+            ``reestablish_backups``).
 
     Both cores expose the same public surface and are driven through
     identical event sequences by the twin-manager equivalence tests.

@@ -410,7 +410,6 @@ class ArrayNetworkManager:
         flood_hop_bound: int = 16,
         multiplex_backups: bool = True,
         reestablish_backups: bool = False,
-        route_cache_probe: int = 4,
     ) -> None:
         if routing not in ROUTING_ENGINES:
             raise SimulationError(
@@ -425,16 +424,7 @@ class ArrayNetworkManager:
         self.flood_hop_bound = flood_hop_bound
         self.multiplex_backups = multiplex_backups
         self.reestablish_backups = reestablish_backups
-        self.route_cache: Optional[ArrayRouteCache] = (
-            ArrayRouteCache(
-                topology,
-                self.links,
-                self.state.adjacency_rows(),
-                probe_limit=route_cache_probe,
-            )
-            if route_cache_probe > 0
-            else None
-        )
+        self.route_cache = ArrayRouteCache(topology, self.links, self.state.adjacency_rows())
         n = len(self.links)
         #: Dense link index -> handles of ACTIVE primaries / inactive
         #: backups / activated backups traversing it.
@@ -740,16 +730,14 @@ class ArrayNetworkManager:
                 return plan, backup, bplan
             return plan, backup, None
 
-        plan: Optional[RoutePlan] = None
-        if self.route_cache is not None:
-            found = self.route_cache.primary_plan(
-                source, destination, b_min, self.state.generation
-            )
-            if found is NO_ROUTE:
-                return None, None, None
-            if found is not None and not isinstance(found, RoutePlan):
-                raise SimulationError("unexpected route-cache answer")  # pragma: no cover
-            plan = found
+        found = self.route_cache.primary_plan(
+            source, destination, b_min, self.state.generation
+        )
+        if found is NO_ROUTE:
+            return None, None, None
+        if found is not None and not isinstance(found, RoutePlan):
+            raise SimulationError("unexpected route-cache answer")  # pragma: no cover
+        plan: Optional[RoutePlan] = found
         if plan is None:
             # The BFS probes the mask once per examined edge; a plain
             # list lookup beats a NumPy scalar read at that call rate.
@@ -803,23 +791,22 @@ class ArrayNetworkManager:
         def backup_ok(link: Link) -> bool:
             return t.can_admit_backup(index[link.id], b_min, conflict_set)
 
-        if self.route_cache is not None:
-            raw = self.route_cache.raw_disjoint_backup(
-                primary[0],
-                primary[-1],
-                tuple(primary),
-                primary_set,
-                self.state.generation,
+        raw = self.route_cache.raw_disjoint_backup(
+            primary[0],
+            primary[-1],
+            tuple(primary),
+            primary_set,
+            self.state.generation,
+        )
+        if raw is None:
+            if not allow_partial:
+                return None, None
+            found = maximally_disjoint_path(
+                self.topology, primary[0], primary[-1], primary_set, backup_ok
             )
-            if raw is None:
-                if not allow_partial:
-                    return None, None
-                found = maximally_disjoint_path(
-                    self.topology, primary[0], primary[-1], primary_set, backup_ok
-                )
-                return (found[0] if found is not None else None), None
-            if t.can_admit_backup_bulk(raw.idx, b_min, conflict_set):
-                return raw.path, raw
+            return (found[0] if found is not None else None), None
+        if t.can_admit_backup_bulk(raw.idx, b_min, conflict_set):
+            return raw.path, raw
 
         found2 = disjoint_path(
             self.topology,

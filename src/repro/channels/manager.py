@@ -38,8 +38,7 @@ from repro.elastic.redistribute import candidate_ids, drop_to_minimum, redistrib
 from repro.errors import FaultInjectionError, ReservationError, SimulationError
 from repro.network.state import NetworkState
 from repro.qos.spec import ConnectionQoS
-from repro.routing.cache import NO_ROUTE, RouteCache
-from repro.routing.disjoint import disjoint_path, maximally_disjoint_path
+from repro.routing.disjoint import disjoint_path
 from repro.routing.flooding import flooding_route_pair
 from repro.routing.shortest import _check_endpoints, bfs_path_rows
 from repro.topology.graph import Link, LinkId, Network
@@ -64,7 +63,6 @@ class NetworkManager:
         flood_hop_bound: int = 16,
         multiplex_backups: bool = True,
         reestablish_backups: bool = False,
-        route_cache_probe: int = 4,
     ) -> None:
         if routing not in ROUTING_ENGINES:
             raise SimulationError(
@@ -83,19 +81,6 @@ class NetworkManager:
         #: backup, immediately try to route and reserve a replacement
         #: (the paper leaves connections unprotected; off by default).
         self.reestablish_backups = reestablish_backups
-        #: Candidate-route cache over the live topology: repeat arrivals
-        #: between the same endpoints reuse raw candidate routes and
-        #: only pay the load-dependent admission re-check.  Invalidated
-        #: by generation whenever a link fails or is repaired; answers
-        #: are always identical to a from-scratch filtered search (see
-        #: repro.routing.cache).  ``route_cache_probe`` is the number of
-        #: raw candidates checked per arrival before falling back to the
-        #: filtered search; 0 disables caching entirely.
-        self.route_cache: Optional[RouteCache] = (
-            RouteCache(topology, self.state, probe_limit=route_cache_probe)
-            if route_cache_probe > 0
-            else None
-        )
         #: Live connections (ACTIVE or FAILED_OVER) by id.
         self.connections: Dict[int, DRConnection] = {}
         #: link -> ids of ACTIVE primaries traversing it.
@@ -358,27 +343,15 @@ class NetworkManager:
                 backup = self._centralized_backup(primary, b_min, qos, primary_link_set)
             return primary, backup, primary_links, primary_link_set
 
-        primary = primary_links = None
-        if self.route_cache is not None:
-            found = self.route_cache.primary_route(
-                source, destination, lambda ls: ls.can_admit_primary(b_min)
-            )
-            if found is NO_ROUTE:
-                return None, None, None, None
-            if found is not None:
-                primary, primary_links = found
+        primary = bfs_path_rows(
+            self.state.adjacency_rows(),
+            source,
+            destination,
+            lambda lid, ls: ls.can_admit_primary(b_min),
+        )
         if primary is None:
-            # Cache disabled, or no probed candidate admitted: run the
-            # authoritative admission-filtered search over live rows.
-            primary = bfs_path_rows(
-                self.state.adjacency_rows(),
-                source,
-                destination,
-                lambda lid, ls: ls.can_admit_primary(b_min),
-            )
-            if primary is None:
-                return None, None, None, None
-            primary_links = self.topology.path_links(primary)
+            return None, None, None, None
+        primary_links = self.topology.path_links(primary)
         primary_link_set = frozenset(primary_links)
         backup = None
         if qos.dependability.wants_backup:
@@ -401,28 +374,6 @@ class NetworkManager:
 
         def backup_ok(link: Link) -> bool:
             return self.state.link(link.id).can_admit_backup(b_min, conflict_set)
-
-        if self.route_cache is not None:
-            raw = self.route_cache.raw_disjoint_backup(
-                primary[0], primary[-1], tuple(primary), primary_set
-            )
-            if raw is None:
-                # No fully disjoint live path exists, admissible or not:
-                # the filtered disjoint search cannot succeed, so go
-                # straight to the maximally-disjoint stage (or give up).
-                if not allow_partial:
-                    return None
-                found = maximally_disjoint_path(
-                    self.topology, primary[0], primary[-1], primary_set, backup_ok
-                )
-                return found[0] if found is not None else None
-            path, _links, states = raw
-            if all(ls.can_admit_backup(b_min, conflict_set) for ls in states):
-                # The raw shortest disjoint path admits as-is; it is the
-                # exact path the filtered disjoint search would return.
-                return list(path)
-            # Raw candidate blocked by load: fall through to the full
-            # filtered search below, which remains authoritative.
 
         found = disjoint_path(
             self.topology,

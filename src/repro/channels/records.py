@@ -69,15 +69,6 @@ class DRConnection:
     state: ConnectionState = ConnectionState.ACTIVE
     on_backup: bool = False
     established_at: float = 0.0
-    #: Performance memo owned by the redistribution engine: the resolved
-    #: per-link reservation states of ``primary_links`` plus the QoS
-    #: level scalars, stored as ``(primary_links reference,
-    #: [LinkState, ...], max_level, increment, increment - EPSILON)``
-    #: and validated by identity against the current ``primary_links``
-    #: (the route list is replaced wholesale on any reroute, never
-    #: mutated in place; the QoS contract is frozen).  The memo dies
-    #: with the record, so it cannot leak or outlive the connection.
-    link_state_memo: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def elastic_qos(self) -> ElasticQoS:

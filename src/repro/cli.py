@@ -550,7 +550,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         wal_path=args.wal,
         host=args.host,
         port=args.port,
-        engine=EngineConfig(core=args.core, batch_max=args.batch_max),
+        engine=EngineConfig(batch_max=args.batch_max),
         backpressure=BackpressureConfig(
             queue_limit=args.queue_limit,
             shed_watermark=args.shed_watermark,
@@ -696,9 +696,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     """Replay a service WAL offline; verify, cross-check, or export it."""
     import json
 
-    from repro.service.replay import export_campaign, replay_log
-    from repro.service.engine import EngineConfig, ServiceEngine
-    from repro.service.wal import ReplayLogReader
+    from repro.service.replay import cross_core_replay, export_campaign, replay_log
 
     result = replay_log(args.log)
     summary = {
@@ -710,17 +708,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         "num_live": result.engine.manager.num_live,
     }
     if args.cross_check:
-        reader = ReplayLogReader(args.log)
-        other_core = "object" if reader.core == "array" else "array"
-        twin = ServiceEngine(
-            reader.topology,
-            EngineConfig(core=other_core, manager_kwargs=reader.manager_kwargs),
-        )
-        for seq, request in reader.events():
-            twin.seq = seq
-            twin.apply_sequential(request)
-        summary["cross_check_core"] = other_core
-        summary["cross_check_match"] = twin.digest() == result.digest
+        twin = cross_core_replay(args.log)
+        summary["cross_check_core"] = twin.engine.config.core
+        summary["cross_check_match"] = twin.digest == result.digest
     if args.expect_digest is not None:
         summary["digest_match"] = result.digest == args.expect_digest
     if args.export is not None:
@@ -748,8 +738,6 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     from repro.service.supervisor import ServeSupervisor, SupervisorPolicy
 
     extra = []
-    if args.core != "array":
-        extra += ["--core", args.core]
     if args.chaos_crash is not None:
         extra += ["--chaos-crash", args.chaos_crash]
     if args.chaos_seed is not None:
@@ -784,7 +772,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.service.soak import run_disk_smoke, run_soak
 
-    cores = [c.strip() for c in args.cores.split(",") if c.strip()]
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as fallback:
         workdir = args.workdir or fallback
         summary: dict = {}
@@ -794,7 +781,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 workdir,
                 seed=args.seed,
                 trials=args.trials,
-                cores=cores,
                 requests=args.requests,
                 sweep=args.sweep,
                 topology=args.topology,
@@ -938,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="listen port (0 = OS-assigned; see startup line)")
-    p.add_argument("--core", choices=("array", "object"), default="array")
     p.add_argument("--batch-max", type=int, default=64,
                    help="max requests per micro-epoch")
     p.add_argument("--queue-limit", type=int, default=1024,
@@ -969,7 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="grid:nodes=4,cols=4,capacity=1000")
     p.add_argument("--wal", required=True, metavar="PATH",
                    help="WAL path (required: restarts are pointless without one)")
-    p.add_argument("--core", choices=("array", "object"), default="array")
     p.add_argument("--max-restarts", type=int, default=8)
     p.add_argument("--backoff-base-s", type=float, default=0.2)
     p.add_argument("--backoff-cap-s", type=float, default=10.0)
@@ -993,9 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5,
                    help="number of seeded trials (ignored with --sweep)")
     p.add_argument("--sweep", action="store_true",
-                   help="one trial per durability crash site per core")
-    p.add_argument("--cores", default="array",
-                   help="comma-separated manager cores (e.g. array,object)")
+                   help="one trial per durability crash site")
     p.add_argument("--requests", type=int, default=60,
                    help="scripted requests per trial")
     p.add_argument("--topology", default="grid:nodes=16,cols=4,capacity=1000")

@@ -23,30 +23,21 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Protocol, Set, Tuple
 
-from repro.elastic.policies import AdaptationPolicy, EqualShare
-from repro.network.link_state import EPSILON
+from repro.elastic.policies import AdaptationPolicy
+from repro.network.link_state import EPSILON, LinkState
 from repro.network.state import NetworkState
 from repro.qos.spec import ElasticQoS
 from repro.topology.graph import LinkId
 
 
 class ElasticParticipant(Protocol):
-    """What the engine needs to know about a primary channel.
-
-    ``link_state_memo`` is the redistribution fast path's per-record
-    cache: ``(primary_links, LinkState objects, their primary_extra
-    dicts, max_level, delta, threshold)``, validated by identity
-    against ``primary_links`` (which is replaced wholesale on reroute).
-    Bare participants may omit it — the engine falls back to resolving
-    the path per event (``AttributeError`` duck-typing).
-    """
+    """What the engine needs to know about a primary channel."""
 
     conn_id: int
     primary_links: List[LinkId]
     level: int
-    link_state_memo: Optional[Tuple]
 
     @property
     def elastic_qos(self) -> ElasticQoS:  # pragma: no cover - protocol
@@ -91,172 +82,34 @@ def redistribute(
         ``conn_id -> increments granted`` for every channel that rose.
         Channel ``level`` attributes are updated in place.
     """
-    # The fill loop visits each competitor many times (once per granted
-    # increment), so everything loop-invariant is resolved exactly once
-    # per candidate up front: the channel record, its QoS scalars
-    # (memoized per contract object — populations share a handful of
-    # contracts, and most candidates are already maxed, so the scalar
-    # lookup must be cheap even for channels that never compete) and the
-    # LinkState objects of its path (memoized on the record itself and
-    # validated by identity against ``primary_links``, which is replaced
-    # wholesale on reroute — resolving a path through ``state.link`` on
-    # every event used to dominate the profile).  The per-increment body
-    # then works on plain attributes: the spare test and the grant are
-    # inlined equivalents of ``LinkState.spare_for_extras`` and
-    # ``LinkState.grant_extra`` (the admission guard of ``grant_extra``
-    # is exactly the spare test, so no check is lost), because property
-    # and method dispatch on the hundred-thousand-call scale of a single
-    # simulation dominates the fill's run time.
-    resolve_link = state.link
-    # Scalar cache keyed on the QoS contract *value* (ElasticQoS is a
-    # frozen, hashable dataclass): populations share a handful of
-    # contracts, so most candidates hit the cache, and unlike an
-    # ``id()`` key the mapping is stable across processes and cannot
-    # alias when a contract object is garbage-collected mid-campaign.
-    qos_scalars: Dict[ElasticQoS, Tuple[int, float, float]] = {}
-    granted: Dict[int, int] = defaultdict(int)
-    equal_share = type(policy) is EqualShare
-    buckets: Dict[int, List[Tuple]] = {}
-    heap: List[Tuple] = []
+    # Paths and contracts are resolved once per competitor; the fill
+    # itself only shrinks spares, so a channel that cannot take the next
+    # increment now never can in this round and leaves the heap for good.
+    priority = policy.priority
+    members: Dict[int, Tuple[ElasticParticipant, ElasticQoS, List[LinkState]]] = {}
+    heap: List[Tuple[Tuple, int]] = []
     for cid in candidates:
         chan = channels[cid]
-        try:
-            memo = chan.link_state_memo
-        except AttributeError:
-            memo = None  # bare protocol participant: resolve per event
-        if memo is not None and memo[0] is chan.primary_links:
-            _lids, links, extras, max_level, delta, threshold = memo
-        else:
-            qos = chan.elastic_qos
-            scalars = qos_scalars.get(qos)
-            if scalars is None:
-                delta = qos.increment
-                scalars = (qos.max_level, delta, delta - EPSILON)
-                qos_scalars[qos] = scalars
-            max_level, delta, threshold = scalars
-            lids = chan.primary_links
-            links = [resolve_link(lid) for lid in lids]
-            extras = [ls.primary_extra for ls in links]
-            try:
-                chan.link_state_memo = (lids, links, extras, max_level, delta, threshold)
-            except AttributeError:
-                pass
-        level = chan.level
-        if level >= max_level:
-            continue
-        if equal_share:
-            entry = (cid, chan, max_level, delta, threshold, links, extras)
-            bucket = buckets.get(level)
-            if bucket is None:
-                buckets[level] = [entry]
-            else:
-                bucket.append(entry)
-        else:
-            qos = chan.elastic_qos
-            heap.append(
-                (policy.priority(cid, level, qos), cid, chan, qos, max_level,
-                 delta, threshold, links)
-            )
-
-    if equal_share:
-        _fill_equal_share(buckets, granted)
-    else:
-        _fill_by_priority(policy, heap, granted)
-    return dict(granted)
-
-
-def _fill_equal_share(buckets: Dict[int, List[Tuple]], granted: Dict[int, int]) -> None:
-    """Water-fill under the equal-share priority ``(level, conn_id)``.
-
-    Equal share is the paper's own configuration and the default policy,
-    so it gets a heap-free fast path: with priority ``(level, cid)`` the
-    generic loop provably grants to all raisable channels of the lowest
-    populated level in ascending ``cid`` order before touching the next
-    level (a grant re-enters at ``level + 1``, *behind* every remaining
-    same-level channel).  Processing whole level "waves" over cid-sorted
-    buckets therefore performs the grants in exactly the generic order —
-    and the resulting allocation is byte-identical — without paying a
-    heap push/pop and a priority call per increment.
-
-    ``buckets`` maps each starting level to its competitor entries
-    ``(cid, chan, max_level, delta, threshold, links, extras)`` where
-    ``extras`` holds each link's ``primary_extra`` dict (pre-resolved so
-    a grant touches no attribute chains).
-    """
-    for bucket in buckets.values():
-        # Entries compare by their leading (unique) cid, so sorting never
-        # reaches the non-comparable payload fields.  Promotion preserves
-        # cid order, so each bucket is sorted exactly once.
-        bucket.sort()
-    while buckets:
-        level = min(buckets)
-        next_level = level + 1
-        promoted: List[Tuple] = []
-        for entry in buckets.pop(level):
-            cid, chan, max_level, delta, threshold, links, extras = entry
-            for ls in links:
-                if ls.capacity - ls._min_total - ls._activated_total - ls._extra_total < threshold:
-                    # Spares only shrink during the fill, so this channel
-                    # can never become raisable again in this round.
-                    break
-            else:
-                for ls in links:
-                    ls._extra_total += delta
-                for pe in extras:
-                    pe[cid] += delta
-                chan.level = next_level
-                granted[cid] += 1
-                if next_level < max_level:
-                    promoted.append(entry)
-        if promoted:
-            existing = buckets.get(next_level)
-            if existing is None:
-                buckets[next_level] = promoted
-            else:
-                # Two cid-sorted runs; timsort merges them in linear time
-                # and keeps the bucket's sorted invariant.
-                existing.extend(promoted)
-                existing.sort()
-
-
-def _fill_by_priority(
-    policy: AdaptationPolicy, heap: List[Tuple], granted: Dict[int, int]
-) -> None:
-    """Generic water-fill for arbitrary priority rules.
-
-    Heap entries keep the ``(priority, cid)`` prefix of the original
-    implementation — ``cid`` is unique per entry, so the competitor
-    payload riding behind it is never compared and the pop order is
-    identical to a plain ``(priority, cid)`` heap.
-    """
-    priority = policy.priority
+        qos = chan.elastic_qos
+        if chan.level < qos.max_level:
+            members[cid] = (chan, qos, [state.link(lid) for lid in chan.primary_links])
+            heap.append((priority(cid, chan.level, qos), cid))
     heapq.heapify(heap)
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    granted: Dict[int, int] = defaultdict(int)
     while heap:
-        entry = heappop(heap)
-        _, cid, chan, qos, max_level, delta, threshold, links = entry
-        if chan.level >= max_level:
+        _, cid = heapq.heappop(heap)
+        chan, qos, links = members[cid]
+        delta = qos.increment
+        threshold = delta - EPSILON
+        if any(ls.spare_for_extras < threshold for ls in links):
             continue
         for ls in links:
-            if ls.capacity - ls._min_total - ls._activated_total - ls._extra_total < threshold:
-                # Spares only shrink during the fill, so this channel can
-                # never become raisable again in this round: drop it.
-                break
-        else:
-            for ls in links:
-                ls.primary_extra[cid] += delta
-                ls._extra_total += delta
-            level = chan.level + 1
-            chan.level = level
-            granted[cid] += 1
-            if level < max_level:
-                heappush(
-                    heap,
-                    (priority(cid, level, qos), cid, chan, qos, max_level, delta,
-                     threshold, links),
-                )
+            ls.grant_extra(cid, delta)
+        chan.level += 1
+        granted[cid] += 1
+        if chan.level < qos.max_level:
+            heapq.heappush(heap, (priority(cid, chan.level, qos), cid))
+    return dict(granted)
 
 
 def is_maximal(

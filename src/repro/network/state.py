@@ -40,9 +40,6 @@ class NetworkState:
         #: at all times, which keeps victim picks bitwise deterministic.
         self._alive_list: List[LinkId] = sorted(self._links)
         self._failed_list: List[LinkId] = []
-        #: Bumped on every fail/repair; versions anything derived from
-        #: the *live* topology (e.g. cached candidate routes).
-        self.generation: int = 0
         self._rows_cache: Optional[Dict[int, StateAdjacencyRow]] = None
         self._rows_version: int = -1
 
@@ -129,7 +126,6 @@ class NetworkState:
         self._failed.add(lid)
         self._alive_list.pop(bisect_left(self._alive_list, lid))
         insort(self._failed_list, lid)
-        self.generation += 1
 
     def repair_link(self, lid: LinkId) -> None:
         """Return a failed link to service."""
@@ -140,7 +136,6 @@ class NetworkState:
         self._failed.discard(lid)
         self._failed_list.pop(bisect_left(self._failed_list, lid))
         insort(self._alive_list, lid)
-        self.generation += 1
 
     def path_is_alive(self, path_links: Sequence[LinkId]) -> bool:
         """Whether no link of ``path_links`` is failed."""

@@ -8,6 +8,8 @@ run is also an offline batch campaign:
   event sequentially — bitwise-identical to the live run's batched
   application (PR 7's micro-epoch equivalence), so the resulting
   digest *is* the live service's state digest.
+* :func:`cross_core_replay` replays the same log on the other manager
+  core; its digest must match, because the digest is core-agnostic.
 * :func:`recover_engine` is what a restarted service calls: replay the
   log, then re-attach an append-mode WAL writer and continue the
   sequence numbering where the durable history ends.  Events that were
@@ -62,12 +64,6 @@ class ReplayResult:
     digest: str
 
 
-def _engine_config(reader: ReplayLogReader, batch_max: int = 64) -> EngineConfig:
-    return EngineConfig(
-        core=reader.core, batch_max=batch_max, manager_kwargs=reader.manager_kwargs
-    )
-
-
 def replay_log(path: Union[str, Path]) -> ReplayResult:
     """Rebuild the manager state a log describes, from nothing.
 
@@ -75,7 +71,26 @@ def replay_log(path: Union[str, Path]) -> ReplayResult:
     bitwise-identical to the live run's batched application.
     """
     reader = ReplayLogReader(path)
-    engine = ServiceEngine(reader.topology, _engine_config(reader), wal=None)
+    return _replay(reader, reader.core)
+
+
+def cross_core_replay(path: Union[str, Path]) -> ReplayResult:
+    """Replay the log on the manager core its header does *not* name.
+
+    The state digest is core-agnostic, so the result's digest must equal
+    :func:`replay_log`'s; ``repro replay --cross-check`` and every chaos
+    trial compare the two.
+    """
+    reader = ReplayLogReader(path)
+    return _replay(reader, "object" if reader.core == "array" else "array")
+
+
+def _replay(reader: ReplayLogReader, core: str) -> ReplayResult:
+    engine = ServiceEngine(
+        reader.topology,
+        EngineConfig(core=core, manager_kwargs=reader.manager_kwargs),
+        wal=None,
+    )
     events = 0
     accepted = 0
     for seq, request in reader.events():

@@ -75,7 +75,6 @@ MANAGER_KWARG_KEYS = (
     "flood_hop_bound",
     "multiplex_backups",
     "reestablish_backups",
-    "route_cache_probe",
 )
 
 

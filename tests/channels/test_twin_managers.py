@@ -221,9 +221,6 @@ class TestTwinCampaigns:
         assert driver.mo.stats.activation_faults > 0
         assert driver.mo.stats.activation_faults == driver.ma.stats.activation_faults
 
-    def test_cache_disabled(self):
-        TwinDriver(16, route_cache_probe=0).run(150, faults=True)
-
 
 def _link_index(view, net) -> tuple:
     """A per-link index view as plain dicts of sets, read both ways."""

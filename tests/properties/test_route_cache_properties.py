@@ -1,12 +1,13 @@
 """Cached routing must be observationally identical to uncached routing.
 
-The route cache (repro.routing.cache) promises that enabling it never
+The array core's route cache (repro.routing.cache) promises that it never
 changes a single route, acceptance decision, or bandwidth number — it
-only changes how fast the answers arrive.  These properties drive twin
-managers (one cached, one with ``route_cache_probe=0``) through the
-same randomized workload of arrivals, terminations, link failures and
-repairs on random Waxman topologies, and require the observable state
-to stay bitwise identical throughout.
+only changes how fast the answers arrive.  These properties drive the
+array core (cached) and the object core (the reference, which runs the
+plain filtered searches on every arrival) through the same randomized
+workload of arrivals, terminations, link failures and repairs on random
+Waxman topologies, and require the observable state to stay bitwise
+identical throughout.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
 from repro.topology.waxman import WaxmanParams, waxman_network
 
@@ -34,10 +35,10 @@ QOS_UNPROTECTED = ConnectionQoS(
 def twin_managers(seed: int, n: int = 12):
     rng = np.random.default_rng(seed)
     net = waxman_network(n, WaxmanParams(alpha=0.5, beta=0.4), 2000.0, rng)
-    return net, NetworkManager(net), NetworkManager(net, route_cache_probe=0)
+    return net, make_manager(net, core="array"), make_manager(net, core="object")
 
 
-def assert_twins_agree(cached: NetworkManager, plain: NetworkManager) -> None:
+def assert_twins_agree(cached, plain) -> None:
     assert sorted(cached.connections) == sorted(plain.connections)
     for cid, conn in cached.connections.items():
         other = plain.connections[cid]

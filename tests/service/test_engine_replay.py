@@ -9,7 +9,12 @@ from repro.parallel.jobs import TopologySpec
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
 from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.protocol import Request
-from repro.service.replay import export_campaign, recover_engine, replay_log
+from repro.service.replay import (
+    cross_core_replay,
+    export_campaign,
+    recover_engine,
+    replay_log,
+)
 from repro.service.wal import ReplayLogReader, ReplayLogWriter
 
 GRID = TopologySpec(kind="grid", capacity=1000.0, seed=0, nodes=4, cols=4)
@@ -216,6 +221,19 @@ class TestReplayAndRecovery:
             other.seq = seq
             other.apply_sequential(request)
         assert other.digest() == digest
+
+    @pytest.mark.parametrize("core, other", [("array", "object"), ("object", "array")])
+    def test_cross_core_replay_runs_the_other_core(self, tmp_path, core, other):
+        path = tmp_path / "wal.log"
+        wal = ReplayLogWriter(path, GRID, core=core)
+        engine = ServiceEngine(GRID, EngineConfig(core=core, batch_max=8), wal=wal)
+        _drive(engine, batch=8)
+        digest = engine.digest()
+        engine.close()
+        twin = cross_core_replay(path)
+        assert twin.engine.config.core == other
+        assert twin.events_applied == engine.seq
+        assert twin.digest == digest
 
     def test_export_campaign_replays_identically(self, tmp_path):
         path, engine, digest = self._live_run(tmp_path)

@@ -2,7 +2,6 @@
 
 import asyncio
 
-import pytest
 
 from repro.parallel.jobs import TopologySpec
 from repro.service.engine import EngineConfig

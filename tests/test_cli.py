@@ -25,6 +25,19 @@ class TestParser:
         assert args.seed == 3
         assert callable(args.func)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--core", "object"],
+            ["supervise", "--wal", "x.wal", "--core", "object"],
+            ["chaos", "--cores", "object"],
+        ],
+    )
+    def test_service_runs_only_the_array_core(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTopologyCommand:
     def test_waxman(self, capsys):
